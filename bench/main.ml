@@ -268,6 +268,9 @@ let emit_perf_json path =
        \"major_words\": %s, \"words_per_event\": %s},\n \
        \"baseline_events_per_sec\": %s,\n \"speedup\": %s,\n \
        \"regression_ok\": %b,\n \
+       \"ocaml\": \"%s\",\n \"tree\": \"%s\",\n \
+       \"baseline_words_per_event\": %s,\n \"words_tolerance\": %s,\n \
+       \"words_ok\": %b,\n \
        \"sweep\": {\"points\": %d, \"jobs\": %d, \"j1_wall_s\": %s, \
        \"jn_wall_s\": %s, \"speedup\": %s, \"identical\": %b}}\n"
       r.P.quick r.P.repeats r.P.cores
@@ -275,7 +278,10 @@ let emit_perf_json path =
       (num s.P.sim_us) (num s.P.minor_words) (num s.P.major_words)
       (num s.P.words_per_event)
       (opt_num r.P.baseline_events_per_sec)
-      (opt_num r.P.speedup) r.P.regression_ok r.P.sweep_points r.P.sweep_jobs
+      (opt_num r.P.speedup) r.P.regression_ok r.P.ocaml r.P.tree
+      (opt_num (Option.map (fun b -> b.P.words) r.P.words_baseline))
+      (num P.words_tolerance)
+      r.P.words_ok r.P.sweep_points r.P.sweep_jobs
       (num r.P.sweep_j1_wall_s) (num r.P.sweep_jn_wall_s)
       (num r.P.sweep_speedup) r.P.sweep_identical;
     close_out oc;
@@ -296,6 +302,12 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
   let micro = List.mem "--micro" args in
+  (* --record-baseline: after a perf run, record its words/event for this
+     compiler in bench/perf_baseline.json (make perf-baseline); with
+     --record-events, also re-capture the events/sec reference from it
+     (make perf-baseline-events, when the reference hardware changes). *)
+  let record_events = List.mem "--record-events" args in
+  let record_baseline = record_events || List.mem "--record-baseline" args in
   (* -j N: run independent sweep points on N domains (default 1). *)
   let rec parse_jobs = function
     | "-j" :: n :: _ -> int_of_string_opt n
@@ -334,5 +346,23 @@ let () =
     emit_faults_json "BENCH_faults.json";
     emit_detection_json "BENCH_detection.json";
     emit_perf_json "BENCH_perf.json";
+    (if record_baseline then
+       let module P = Zeus_experiments.Perf in
+       match P.last_results () with
+       | Some r ->
+         (match P.record_baseline ~events:record_events r with
+          | Ok () ->
+            Printf.printf "recorded %.3f words/event for OCaml %s%s in %s\n%!"
+              r.P.smallbank.P.words_per_event r.P.ocaml
+              (if record_events then
+                 Printf.sprintf " and %.0f events/sec" r.P.smallbank.P.events_per_sec
+               else "")
+              P.baseline_path
+          | Error msg ->
+            prerr_endline ("--record-baseline: " ^ msg);
+            exit 1)
+       | None ->
+         prerr_endline "--record-baseline: no perf results (run the perf experiment)";
+         exit 1);
     Printf.printf "\nAll experiments done.\n%!"
   end

@@ -95,13 +95,7 @@ let opt_num = function Some x -> num x | None -> "null"
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
+  Zeus_telemetry.Jsonv.escape buf s;
   Buffer.contents buf
 
 let detection_to_json d =

@@ -1,5 +1,5 @@
 (* Thin interpreter over {!Core}: samples the environment, feeds inputs,
-   and executes the returned effects against the real engine — transport
+   and executes the emitted effects against the real engine — transport
    sends, store transforms, telemetry, the caller's durability
    continuation.  All protocol logic lives in the sans-I/O core. *)
 
@@ -9,6 +9,7 @@ module Hub = Zeus_telemetry.Hub
 module Transport = Zeus_net.Transport
 module Service = Zeus_membership.Service
 module View = Zeus_membership.View
+module Effect_stack = Zeus_sim.Effect_stack
 open Zeus_store
 
 type callbacks = {
@@ -23,7 +24,9 @@ type t = {
   membership : Service.t;
   cb : callbacks;
   transport : Transport.t;
-  durables : (int * int, unit -> unit) Hashtbl.t;  (* (thread, slot) *)
+  mutable durables : (int, unit -> unit) Hashtbl.t array;
+      (* per thread, by slot: the [on_durable] continuations *)
+  effs : Core.eff Effect_stack.t;
   spans : (int, Tspan.span) Hashtbl.t;  (* span token -> live span *)
   mutable span_parent : Tspan.span;
   metrics : Metrics.t;
@@ -32,6 +35,7 @@ type t = {
   c_durable : Metrics.Counter.h;
   c_replays : Metrics.Counter.h;
   mutable io_tap : (Core.input -> Core.eff list -> unit) option;
+  mutable last_env : Core.env;
 }
 
 let node t = t.node
@@ -47,12 +51,19 @@ let core_fingerprint t = Core.fingerprint t.core
 
 (* ---------- runtime sampling --------------------------------------------- *)
 
+(* The environment changes only at view changes and tracing toggles, so
+   the last sampled record is reused while every field still matches. *)
 let env t =
-  {
-    Core.epoch = Service.epoch_at t.membership t.node;
-    live = (Service.node_view t.membership t.node).View.live;
-    trace_on = Tspan.enabled t.tspans;
-  }
+  let epoch = Service.epoch_at t.membership t.node in
+  let live = (Service.node_view t.membership t.node).View.live in
+  let trace_on = Tspan.enabled t.tspans in
+  let e = t.last_env in
+  if e.Core.epoch = epoch && e.Core.live == live && e.Core.trace_on = trace_on then e
+  else begin
+    let e = { Core.epoch; live; trace_on } in
+    t.last_env <- e;
+    e
+  end
 
 (* ---------- effect execution --------------------------------------------- *)
 
@@ -146,20 +157,37 @@ let exec_eff t = function
   | Core.Validate_local { writes } -> validate_local t writes
   | Core.Apply_writes { install; writes } -> apply_writes t ~install writes
   | Core.Validate_stored { writes } -> validate_stored t writes
-  | Core.Durable { tx } -> (
-    let key = (tx.Messages.pipe.thread, tx.Messages.slot) in
-    match Hashtbl.find_opt t.durables key with
-    | Some k ->
-      Hashtbl.remove t.durables key;
-      k ()
-    | None -> ())
+  | Core.Durable { tx } ->
+    let thread = tx.Messages.pipe.thread in
+    if thread < Array.length t.durables then begin
+      let tbl = t.durables.(thread) in
+      match Hashtbl.find tbl tx.Messages.slot with
+      | k ->
+        Hashtbl.remove tbl tx.Messages.slot;
+        k ()
+      | exception Not_found -> ()
+    end
   | Core.Drained { epoch } -> t.cb.recovery_drained ~epoch
   | Core.Telemetry tele -> exec_telemetry t tele
 
+(* Effects go onto the agent's stack and execute after the core returns:
+   a [Durable] continuation may commit again on this agent, and that nested
+   feed runs its own segment above ours (see {!Zeus_sim.Effect_stack}). *)
 let feed t input =
-  let _, effs = Core.handle t.core input in
-  (match t.io_tap with Some f -> f input effs | None -> ());
-  List.iter (exec_eff t) effs
+  let base = Effect_stack.top t.effs in
+  Core.handle_with ~emit:(Effect_stack.emit t.effs) t.core input;
+  (match t.io_tap with
+  | Some f -> f input (Effect_stack.segment t.effs ~from:base)
+  | None -> ());
+  Effect_stack.run t.effs ~from:base
+
+let durables_of t thread =
+  let n = Array.length t.durables in
+  if thread >= n then
+    t.durables <-
+      Array.init (max (thread + 1) (2 * n)) (fun i ->
+          if i < n then t.durables.(i) else Hashtbl.create 16);
+  t.durables.(thread)
 
 (* ---------- public API ---------------------------------------------------- *)
 
@@ -176,7 +204,7 @@ let commit ?(parent = Tspan.null_span) t ~thread ~updates ?on_durable () =
   let has_durable =
     match on_durable with
     | Some k ->
-      Hashtbl.replace t.durables (thread, Core.peek_slot t.core ~thread) k;
+      Hashtbl.replace (durables_of t thread) (Core.peek_slot t.core ~thread) k;
       true
     | None -> false
   in
@@ -200,7 +228,7 @@ let on_view_change t (v : View.t) =
    timers, so unlike ownership there is no zombie path to preserve). *)
 let reset t =
   feed t Core.Reset;
-  Hashtbl.reset t.durables;
+  Array.iter Hashtbl.reset t.durables;
   Hashtbl.reset t.spans
 
 let create ?telemetry ?clear_marks ~node ~table ~membership ~callbacks transport =
@@ -215,7 +243,8 @@ let create ?telemetry ?clear_marks ~node ~table ~membership ~callbacks transport
       membership;
       cb = callbacks;
       transport;
-      durables = Hashtbl.create 16;
+      durables = [||];
+      effs = Effect_stack.create ~filler:Core.Flush;
       spans = Hashtbl.create 16;
       span_parent = Tspan.null_span;
       metrics;
@@ -224,7 +253,9 @@ let create ?telemetry ?clear_marks ~node ~table ~membership ~callbacks transport
       c_durable = Metrics.Counter.v metrics "commit.commits_durable";
       c_replays = Metrics.Counter.v metrics "commit.replays_started";
       io_tap = None;
+      last_env = { Core.epoch = -1; live = [||]; trace_on = false };
     }
   in
+  Effect_stack.set_exec t.effs (exec_eff t);
   Service.subscribe membership node (fun v -> on_view_change t v);
   t

@@ -1,13 +1,14 @@
 (* Sans-I/O core of the reliable commit protocol (§5).
 
-   Same architecture as {!Zeus_ownership.Core}: [handle st input] mutates
-   the pipeline/follower state in place and returns the ordered effect
-   list its runtime must execute.  Store access is inverted two ways:
-   reads arrive pre-sampled in the input (the per-update replica sets of
-   an {!Api_commit}), writes leave as the three coarse store transforms
-   the old agent performed inline ({!Validate_local}, {!Apply_writes},
-   {!Validate_stored}) — the simulator interpreter runs them against the
-   real {!Zeus_store.Table}, the model harness against its model store. *)
+   Same architecture as {!Zeus_ownership.Core}: [handle_with ~emit st
+   input] mutates the pipeline/follower state in place and emits, in
+   order, the effects its runtime must execute.  Store access is inverted
+   two ways: reads arrive pre-sampled in the input (the per-update replica
+   sets of an {!Api_commit}), writes leave as the three coarse store
+   transforms the old agent performed inline ({!Validate_local},
+   {!Apply_writes}, {!Validate_stored}) — the simulator interpreter runs
+   them against the real {!Zeus_store.Table}, the model harness against
+   its model store. *)
 
 open Zeus_store
 open Messages
@@ -161,9 +162,9 @@ let fresh_token st =
 (* ---------- coordinator -------------------------------------------------- *)
 
 let get_pipe st thread =
-  match Hashtbl.find_opt st.pipelines thread with
-  | Some p -> p
-  | None ->
+  match Hashtbl.find st.pipelines thread with
+  | p -> p
+  | exception Not_found ->
     let p = { next_slot = 0; done_upto = -1; slots = Hashtbl.create 32 } in
     Hashtbl.replace st.pipelines thread p;
     p
@@ -196,27 +197,23 @@ let validate_local c (s : slot_state) =
    modes behave identically.  The scan is also capped at the VAL's own slot:
    vouching higher slots would be sound but would clear {e more} than the
    legacy jump, perturbing apply timing on FIFO runs for no benefit. *)
-let upto_for pipe f ~slot =
-  let u = ref pipe.done_upto in
-  let blocked = ref false in
-  while (not !blocked) && !u + 1 <= slot do
-    match Hashtbl.find_opt pipe.slots (!u + 1) with
-    | None -> incr u
-    | Some s -> if List.mem f s.s_missing then blocked := true else incr u
-  done;
-  !u
+let rec upto_scan slots f ~slot u =
+  if u + 1 > slot then u
+  else
+    match Hashtbl.find slots (u + 1) with
+    | s -> if List.mem f s.s_missing then u else upto_scan slots f ~slot (u + 1)
+    | exception Not_found -> upto_scan slots f ~slot (u + 1)
+
+let upto_for pipe f ~slot = upto_scan pipe.slots f ~slot pipe.done_upto
 
 let finish_slot c pipe (s : slot_state) =
   Hashtbl.remove pipe.slots s.s_tx.slot;
   advance_done pipe;
   if s.s_span >= 0 then c.emit (Telemetry (Span_finish s.s_span));
   validate_local c s;
-  let recipients =
-    List.filter (fun n -> live c n) (s.s_followers @ s.s_extra_vals)
-  in
   let epoch = c.env.epoch in
-  List.iter
-    (fun f ->
+  let send_val f =
+    if live c f then
       c.emit
         (Send
            {
@@ -225,8 +222,10 @@ let finish_slot c pipe (s : slot_state) =
              payload =
                R_val
                  { tx = s.s_tx; upto = upto_for pipe f ~slot:s.s_tx.slot; epoch };
-           }))
-    recipients
+           })
+  in
+  List.iter send_val s.s_followers;
+  List.iter send_val s.s_extra_vals
 
 let api_commit c ~thread ~updates ~replica_sets ~has_durable =
   let st = c.st in
@@ -239,11 +238,11 @@ let api_commit c ~thread ~updates ~replica_sets ~has_durable =
     List.fold_left
       (fun acc all ->
         List.fold_left
-          (fun acc n -> if n = st.self || List.mem n acc then acc else n :: acc)
+          (fun acc n ->
+            if n = st.self || (not (live c n)) || List.mem n acc then acc else n :: acc)
           acc all)
       [] replica_sets
   in
-  let followers = List.filter (fun f -> live c f) followers in
   if followers = [] then begin
     let s =
       {
@@ -316,9 +315,9 @@ let api_commit c ~thread ~updates ~replica_sets ~has_durable =
 (* ---------- follower ------------------------------------------------------ *)
 
 let get_follower_pipe st pipe_id =
-  match Hashtbl.find_opt st.follower_pipes pipe_id with
-  | Some fp -> fp
-  | None ->
+  match Hashtbl.find st.follower_pipes pipe_id with
+  | fp -> fp
+  | exception Not_found ->
     let fp =
       {
         cleared_upto = -1;
@@ -345,17 +344,33 @@ let compact_marks fp =
     fp.cleared_upto <- fp.cleared_upto + 1
   done
 
+(* [marks] is always compacted, so it never holds [cleared_upto + 1]: the
+   in-order case (every slot on a FIFO run) just bumps the watermark, and
+   an empty [marks] has nothing to absorb. *)
 let mark_handled fp slot =
-  if slot > fp.cleared_upto then Hashtbl.replace fp.marks slot ();
-  compact_marks fp
+  if slot = fp.cleared_upto + 1 then begin
+    fp.cleared_upto <- slot;
+    if Hashtbl.length fp.marks > 0 then compact_marks fp
+  end
+  else if slot > fp.cleared_upto then begin
+    Hashtbl.replace fp.marks slot ();
+    compact_marks fp
+  end
 
 let advance_cleared fp upto =
-  if upto > fp.cleared_upto then begin
-    fp.cleared_upto <- upto;
-    let stale = Hashtbl.fold (fun s () acc -> if s <= upto then s :: acc else acc) fp.marks [] in
-    List.iter (Hashtbl.remove fp.marks) stale
-  end;
-  compact_marks fp
+  if Hashtbl.length fp.marks = 0 then begin
+    if upto > fp.cleared_upto then fp.cleared_upto <- upto
+  end
+  else begin
+    if upto > fp.cleared_upto then begin
+      fp.cleared_upto <- upto;
+      let stale =
+        Hashtbl.fold (fun s () acc -> if s <= upto then s :: acc else acc) fp.marks []
+      in
+      List.iter (Hashtbl.remove fp.marks) stale
+    end;
+    compact_marks fp
+  end
 
 let dead_stored_count c =
   Hashtbl.fold
@@ -384,10 +399,11 @@ let rec drain_buffered c pipe_id fp =
     match Hashtbl.find_opt fp.buffered next with
     | Some b ->
       Hashtbl.remove fp.buffered next;
-      apply_slot c pipe_id fp ~slot:next ~followers:b.b_followers ~writes:b.b_writes
-        ~src:b.b_src ~install:true;
+      apply_slot c fp ~tx:{ pipe = pipe_id; slot = next } ~followers:b.b_followers
+        ~writes:b.b_writes ~src:b.b_src ~install:true;
       drain_buffered c pipe_id fp
     | None -> ())
+  | Sequenced when Hashtbl.length fp.buffered = 0 -> ()
   | Sequenced ->
     (* Sequenced: a sparse mark can unblock any buffered slot whose
        predecessor just became handled, not only the contiguous next one.
@@ -400,27 +416,21 @@ let rec drain_buffered c pipe_id fp =
         if Hashtbl.mem fp.buffered slot && (slot = 0 || cleared fp (slot - 1)) then begin
           let b = Hashtbl.find fp.buffered slot in
           Hashtbl.remove fp.buffered slot;
-          apply_slot c pipe_id fp ~slot ~followers:b.b_followers ~writes:b.b_writes
-            ~src:b.b_src ~install:true;
+          apply_slot c fp ~tx:{ pipe = pipe_id; slot } ~followers:b.b_followers
+            ~writes:b.b_writes ~src:b.b_src ~install:true;
           progressed := true
         end)
       keys;
     if !progressed then drain_buffered c pipe_id fp
 
-and apply_slot c pipe_id fp ~slot ~followers ~writes ~src ~install =
+and apply_slot c fp ~tx ~followers ~writes ~src ~install =
+  let slot = tx.slot in
   c.emit (Apply_writes { install; writes });
-  Hashtbl.replace fp.stored slot
-    { i_tx = { pipe = pipe_id; slot }; i_followers = followers; i_writes = writes };
+  Hashtbl.replace fp.stored slot { i_tx = tx; i_followers = followers; i_writes = writes };
   (match c.st.mode with
   | Legacy -> if slot > fp.cleared_upto then fp.cleared_upto <- slot
   | Sequenced -> mark_handled fp slot);
-  c.emit
-    (Send
-       {
-         dst = src;
-         size = 32;
-         payload = R_ack { tx = { pipe = pipe_id; slot }; sender = c.st.self };
-       })
+  c.emit (Send { dst = src; size = 32; payload = R_ack { tx; sender = c.st.self } })
 
 let handle_inv c ~src ~tx ~followers ~writes ~prev_val ~replay =
   let fp = get_follower_pipe c.st tx.pipe in
@@ -437,8 +447,7 @@ let handle_inv c ~src ~tx ~followers ~writes ~prev_val ~replay =
       | Sequenced -> cleared fp (tx.slot - 1)
     in
     if replay || pred_handled then begin
-      apply_slot c tx.pipe fp ~slot:tx.slot ~followers ~writes ~src
-        ~install:(not replay);
+      apply_slot c fp ~tx ~followers ~writes ~src ~install:(not replay);
       drain_buffered c tx.pipe fp
     end
     else
@@ -479,9 +488,9 @@ let handle_val_legacy c ~tx =
    refused for stale-incarnation stragglers (see [deliver]). *)
 let handle_val c ~tx ~upto =
   let fp = get_follower_pipe c.st tx.pipe in
-  (match Hashtbl.find_opt fp.stored tx.slot with
-  | Some si -> validate_stored c fp tx.slot si
-  | None -> ());
+  (match Hashtbl.find fp.stored tx.slot with
+  | si -> validate_stored c fp tx.slot si
+  | exception Not_found -> ());
   advance_cleared fp upto;
   mark_handled fp tx.slot;
   drain_buffered c tx.pipe fp
@@ -550,23 +559,32 @@ let start_replay c (si : stored_inv) =
     end
   end
 
+(* [List.filter ((<>) n)] that allocates no closure and shares the tail
+   after the last occurrence of [n]. *)
+let rec without (n : Types.node_id) l =
+  match l with
+  | [] -> l
+  | f :: tl ->
+    let tl' = without n tl in
+    if f = n then tl' else if tl' == tl then l else f :: tl'
+
 let handle_ack c ~tx ~sender =
   let st = c.st in
   if tx.pipe.node = st.self then begin
-    match Hashtbl.find_opt st.pipelines tx.pipe.thread with
-    | None -> ()
-    | Some pipe -> (
-      match Hashtbl.find_opt pipe.slots tx.slot with
-      | None -> ()
-      | Some s ->
-        s.s_missing <- List.filter (fun f -> f <> sender) s.s_missing;
+    match Hashtbl.find st.pipelines tx.pipe.thread with
+    | exception Not_found -> ()
+    | pipe -> (
+      match Hashtbl.find pipe.slots tx.slot with
+      | exception Not_found -> ()
+      | s ->
+        s.s_missing <- without sender s.s_missing;
         if s.s_missing = [] then finish_slot c pipe s)
   end
   else begin
     match Hashtbl.find_opt st.replaying tx with
     | None -> ()
     | Some s ->
-      s.s_missing <- List.filter (fun f -> f <> sender) s.s_missing;
+      s.s_missing <- without sender s.s_missing;
       if s.s_missing = [] then finish_replay c s
   end
 
@@ -723,16 +741,18 @@ let env_of = function
   | Deliver { env; _ } | Api_commit { env; _ } | View_change { env; _ } -> env
   | Reset -> no_env
 
-let handle st input =
-  let acc = ref [] in
-  let emit e = acc := e :: !acc in
+let handle_with ~emit st input =
   let c = { st; env = env_of input; emit } in
-  (match input with
+  match input with
   | Deliver { src; payload; _ } -> deliver c ~src payload
   | Api_commit { thread; updates; replica_sets; has_durable; _ } ->
     api_commit c ~thread ~updates ~replica_sets ~has_durable
   | View_change { view_epoch; live; _ } -> view_change c ~view_epoch ~vlive:live
-  | Reset -> reset st);
+  | Reset -> reset st
+
+let handle st input =
+  let acc = ref [] in
+  handle_with ~emit:(fun e -> acc := e :: !acc) st input;
   (st, List.rev !acc)
 
 (* ---------- deep copy + canonical fingerprint (model checking) ----------- *)

@@ -1,19 +1,19 @@
 (** Sans-I/O core of the reliable commit protocol (§5).
 
-    A pure state machine mirroring {!Zeus_ownership.Core}: {!handle}
-    consumes one {!input} and returns the ordered {!eff} list its runtime
-    must execute.  Store access is inverted in both directions: reads
-    arrive pre-sampled inside the input (the [replica_sets] of an
-    {!Api_commit}), writes leave as three coarse store transforms
-    ({!Validate_local}, {!Apply_writes}, {!Validate_stored}) whose
-    per-update loops the interpreter runs verbatim against its store —
-    the real {!Zeus_store.Table} in the simulator, a model store under
-    the checker.
+    A pure state machine mirroring {!Zeus_ownership.Core}: {!handle_with}
+    consumes one {!input} and emits, in order, the {!eff}s its runtime
+    must execute ({!handle} returns them as a list).  Store access is
+    inverted in both directions: reads arrive pre-sampled inside the input
+    (the [replica_sets] of an {!Api_commit}), writes leave as three coarse
+    store transforms ({!Validate_local}, {!Apply_writes},
+    {!Validate_stored}) whose per-update loops the interpreter runs
+    verbatim against its store — the real {!Zeus_store.Table} in the
+    simulator, a model store under the checker.
 
-    Contract for interpreters: sample {!env} before calling [handle] and
-    execute the returned effects in order, immediately.  Unlike the
-    ownership core there are no timers and no per-key facts — commit
-    state is entirely protocol-side. *)
+    Contract for interpreters: sample {!env} before calling
+    {!handle_with} (or {!handle}) and execute the effects in order, before
+    the next input.  Unlike the ownership core there are no timers and no
+    per-key facts — commit state is entirely protocol-side. *)
 
 open Zeus_store
 
@@ -84,7 +84,17 @@ type state
 type clear_marks = Legacy | Sequenced
 
 val create : ?clear_marks:clear_marks -> self:Types.node_id -> nodes:int -> unit -> state
+val handle_with : emit:(eff -> unit) -> state -> input -> unit
+(** Process one input, mutating [state] in place and passing each effect
+    to [emit] in order, during the call.  [emit] must not feed this state
+    again (directly or through an executed effect): the core is mid-input.
+    Interpreters that execute effects which can re-enter — a [Durable]
+    continuation that commits again — collect the effects first and
+    execute them after the call returns ({!Zeus_sim.Effect_stack}). *)
+
 val handle : state -> input -> state * eff list
+(** {!handle_with} collecting the effects into a list: the returned state
+    is the argument; the list is exactly the sequence [emit] receives. *)
 
 val clear_marks_mode : state -> clear_marks
 

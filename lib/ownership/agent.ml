@@ -2,7 +2,7 @@
 
    Everything protocol lives in [Core]; this module only (a) samples the
    runtime facts an input needs (time, epoch, view, store lookups), and
-   (b) executes the returned effects, in order, against the simulator:
+   (b) executes the emitted effects, in order, against the simulator:
    transport sends, engine timers, store callbacks, telemetry, and the
    caller's continuation.  Closures never enter the core — continuations
    are keyed by request seq, timers and spans by core-allocated tokens.
@@ -20,6 +20,7 @@ module Hub = Zeus_telemetry.Hub
 module Transport = Zeus_net.Transport
 module Service = Zeus_membership.Service
 module View = Zeus_membership.View
+module Effect_stack = Zeus_sim.Effect_stack
 open Zeus_store
 open Messages
 
@@ -65,6 +66,7 @@ type t = {
   transport : Transport.t;
   engine : Engine.t;
   unblocks : (int, (unit, nack_reason) result -> unit) Hashtbl.t;
+  effs : Core.eff Effect_stack.t;
   timers : (int, Engine.event_id) Hashtbl.t;
   spans : (int, Tspan.span) Hashtbl.t;
   mutable span_parent : Tspan.span;
@@ -260,10 +262,17 @@ let rec exec_eff t (e : Core.eff) =
     | None -> ())
   | Core.Telemetry tele -> exec_telemetry t tele
 
+(* Effects go onto the agent's stack and execute after the core returns:
+   an [Unblock] continuation may request again on this agent, and that
+   nested feed runs its own segment above ours (see
+   {!Zeus_sim.Effect_stack}). *)
 and feed t input =
-  let _, effs = Core.handle ~dir:t.dir_nodes_of t.core input in
-  (match t.io_tap with Some tap -> tap input effs | None -> ());
-  List.iter (exec_eff t) effs
+  let base = Effect_stack.top t.effs in
+  Core.handle_with ~emit:(Effect_stack.emit t.effs) ~dir:t.dir_nodes_of t.core input;
+  (match t.io_tap with
+  | Some tap -> tap input (Effect_stack.segment t.effs ~from:base)
+  | None -> ());
+  Effect_stack.run t.effs ~from:base
 
 (* ---------- public API ---------------------------------------------------- *)
 
@@ -320,6 +329,7 @@ let create ?(config = default_config) ?telemetry ~node ~dir_nodes_of ~table ~mem
       transport;
       engine;
       unblocks = Hashtbl.create 64;
+      effs = Effect_stack.create ~filler:Core.Flush;
       timers = Hashtbl.create 64;
       spans = Hashtbl.create 64;
       span_parent = Tspan.null_span;
@@ -337,5 +347,6 @@ let create ?(config = default_config) ?telemetry ~node ~dir_nodes_of ~table ~mem
       io_tap = None;
     }
   in
+  Effect_stack.set_exec t.effs (exec_eff t);
   Service.subscribe membership node (fun v -> on_view_change t v);
   t

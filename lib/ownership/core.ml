@@ -1102,11 +1102,9 @@ let env_of = function
     env
   | Api_seed _ | Reset -> no_env
 
-let handle ~dir st input =
-  let acc = ref [] in
-  let emit e = acc := e :: !acc in
+let handle_with ~emit ~dir st input =
   let c = { st; env = env_of input; dir; emit } in
-  (match input with
+  match input with
   | Deliver { src; payload; facts; _ } -> deliver c ~src ~facts payload
   | Api_request { key; kind; facts; _ } -> api_request c ~key ~kind ~facts
   | Api_register { key; replicas; _ } -> api_register c ~key ~replicas
@@ -1115,7 +1113,11 @@ let handle ~dir st input =
   | Api_recovery_done { epoch; _ } -> api_recovery_done c ~epoch
   | Timer_fire { kind; facts; _ } -> timer_fire c ~facts kind
   | View_change { view_epoch; live; _ } -> view_change c ~view_epoch ~vlive:live
-  | Reset -> reset st);
+  | Reset -> reset st
+
+let handle ~dir st input =
+  let acc = ref [] in
+  handle_with ~emit:(fun e -> acc := e :: !acc) ~dir st input;
   (st, List.rev !acc)
 
 (* ---------- deep copy + canonical fingerprint (model checking) ----------- *)

@@ -1,20 +1,21 @@
 (** Sans-I/O core of the ownership protocol (§4).
 
-    A pure state machine: {!handle} consumes one {!input} (a protocol
-    message, an API call, a timer fire, a view change) and returns the
-    ordered {!eff} list its runtime must execute — sends, timers, store
-    callbacks, telemetry, caller unblocks.  No simulator, transport or
+    A pure state machine: {!handle_with} consumes one {!input} (a protocol
+    message, an API call, a timer fire, a view change) and emits, in
+    order, the {!eff}s its runtime must execute — sends, timers, store
+    callbacks, telemetry, caller unblocks; {!handle} returns them as a
+    list.  No simulator, transport or
     telemetry handle appears anywhere in the state: the same code is driven
     by the simulator interpreter ({!Agent}), by bounded model checking over
     real states ({!Zeus_model.Core_harness}) and by input-log replay.
 
     Contract for interpreters:
 
-    - sample {!env} and {!facts} {e before} calling [handle] (they are the
-      core's only window onto time, membership and the store);
-    - execute the returned effects {e in order, immediately}, before
-      feeding the next input — handlers never advance time, so in-order
-      execution reproduces the pre-split agent's I/O sequence exactly;
+    - sample {!env} and {!facts} {e before} calling {!handle_with} (they
+      are the core's only window onto time, membership and the store);
+    - execute the effects {e in order}, before feeding the next input —
+      handlers never advance time, so in-order execution reproduces the
+      pre-split agent's I/O sequence exactly;
     - route timer fires back with the same {!timer_kind} that armed them;
     - keep feeding armed timers even across {!Reset} (crash-stop rejoin):
       stale timers deliberately survive and time out pre-crash callers. *)
@@ -123,12 +124,22 @@ type state
 
 val create : ?config:config -> self:Types.node_id -> nodes:int -> unit -> state
 
+val handle_with :
+  emit:(eff -> unit) -> dir:(Types.key -> Types.node_id list) -> state -> input -> unit
+(** Process one input, mutating [state] in place and passing each effect
+    to [emit] in order, during the call.  [dir] is the (static)
+    directory-placement function, passed per call so [state] stays
+    marshal-free of closures.  [emit] must not feed this state again
+    (directly or through an executed effect): the core is mid-input.
+    Interpreters whose effects can re-enter — an [Unblock] continuation
+    that requests again — collect the effects first and execute them after
+    the call returns ({!Zeus_sim.Effect_stack}). *)
+
 val handle :
   dir:(Types.key -> Types.node_id list) -> state -> input -> state * eff list
-(** Process one input.  [dir] is the (static) directory-placement function,
-    passed per call so [state] stays marshal-free of closures.  The
-    returned state is the argument, mutated in place; the effect list must
-    be executed in order before the next input. *)
+(** {!handle_with} collecting the effects into a list: the returned state
+    is the argument; the list is exactly the sequence [emit] receives and
+    must be executed in order before the next input. *)
 
 val directory : state -> Directory.t
 val next_seq : state -> int

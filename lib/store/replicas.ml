@@ -5,7 +5,10 @@ let no_owner ~readers = { owner = None; readers }
 
 let all t =
   match t.owner with
-  | Some o -> o :: List.filter (fun r -> r <> o) t.readers
+  | Some o ->
+    (* the constructors keep the owner out of [readers]: share the list *)
+    if List.mem o t.readers then o :: List.filter (fun r -> r <> o) t.readers
+    else o :: t.readers
   | None -> t.readers
 
 let is_owner t n = t.owner = Some n

@@ -155,3 +155,16 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_float = function Num f -> Some f | _ -> None
+
+let escape buf s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s

@@ -93,18 +93,7 @@ let find_all t name = List.filter (fun sp -> sp.name = name) (spans t)
 
 (* ---- export ---------------------------------------------------------- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+let escape = Jsonv.escape
 
 let add_num buf x =
   if Float.is_finite x then Buffer.add_string buf (Printf.sprintf "%.3f" x)

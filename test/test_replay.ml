@@ -17,15 +17,23 @@ module OwnA = Zeus_ownership.Agent
 module OwnC = Zeus_ownership.Core
 module ComA = Zeus_commit.Agent
 module ComC = Zeus_commit.Core
+module CMsg = Zeus_commit.Messages
+module OMsg = Zeus_ownership.Messages
+module Effect_stack = Zeus_sim.Effect_stack
 
 let tc = Helpers.tc
 let qtest = QCheck_alcotest.to_alcotest
 
 (* ---------- recording from a live cluster --------------------------------- *)
 
+(* Local and remote writes: the remote ones force full ownership
+   handovers, the multi-key ones multi-follower commit streams. *)
+let default_writes =
+  [ (0, [ 0 ]); (1, [ 0 ]); (2, [ 1; 2 ]); (0, [ 3; 4 ]); (1, [ 5 ]); (2, [ 0; 5 ]) ]
+
 (* Taps are attached before [populate] so the logs open with the seeding
    inputs a fresh core needs (Api_seed / Api_register). *)
-let record_cluster () =
+let record_cluster ?(writes = default_writes) () =
   let nodes = 3 in
   let c = Helpers.default_cluster ~nodes () in
   let own_logs = Array.init nodes (fun _ -> ref []) in
@@ -41,13 +49,11 @@ let record_cluster () =
   for k = 0 to 5 do
     Cluster.populate c ~key:k ~owner:(k mod nodes) (Value.of_int 0)
   done;
-  (* Local and remote writes: the remote ones force full ownership
-     handovers, the multi-key ones multi-follower commit streams. *)
   List.iter
     (fun (node, keys) ->
       Helpers.expect_committed "recorded write"
         (Helpers.write_txn c node ~keys ~value:(Value.of_int 7)))
-    [ (0, [ 0 ]); (1, [ 0 ]); (2, [ 1; 2 ]); (0, [ 3; 4 ]); (1, [ 5 ]); (2, [ 0; 5 ]) ];
+    writes;
   let finish l = List.rev !l in
   (c, Array.map finish own_logs, Array.map finish com_logs)
 
@@ -163,9 +169,204 @@ let commit_schedule_replays =
                log
              && ComC.fingerprint fresh = ComC.fingerprint core))
 
+(* ---------- effect delivery: handle_with vs handle ------------------------ *)
+
+(* The agents deliver effects through [handle_with ~emit] onto an
+   {!Effect_stack}; the model harness and replay use the derived list
+   [handle].  Both must see the same sequence on any input stream. *)
+
+let emitted stack handle_with input =
+  let base = Effect_stack.top stack in
+  handle_with ~emit:(Effect_stack.emit stack) input;
+  let effs = Effect_stack.segment stack ~from:base in
+  Effect_stack.run stack ~from:base;
+  effs
+
+let commit_log_delivers_alike i log =
+  let by_list = ComC.create ~self:i ~nodes:nnodes () in
+  let by_emit = ComC.create ~self:i ~nodes:nnodes () in
+  let stack = Effect_stack.create ~filler:ComC.Flush in
+  List.for_all
+    (fun (input, _) ->
+      snd (ComC.handle by_list input) = emitted stack (ComC.handle_with by_emit) input)
+    log
+  && ComC.fingerprint by_list = ComC.fingerprint by_emit
+
+let commit_emit_matches_list =
+  QCheck.Test.make ~name:"commit core: handle_with emits exactly handle's list" ~count:100
+    schedule_gen (fun schedule ->
+      let _, logs = run_schedule schedule in
+      Array.to_list logs |> List.mapi commit_log_delivers_alike |> List.for_all Fun.id)
+
+let writes_gen =
+  QCheck.(
+    list_of_size
+      Gen.(1 -- 5)
+      (pair (int_range 0 2) (oneofl [ [ 0 ]; [ 1 ]; [ 2; 3 ]; [ 4; 5 ]; [ 0; 5 ] ])))
+
+let ownership_emit_matches_list =
+  QCheck.Test.make ~name:"ownership core: handle_with emits exactly handle's list"
+    ~count:15 writes_gen (fun writes ->
+      let c, own_logs, com_logs = record_cluster ~writes () in
+      let config = Cluster.config c in
+      let dir key = Config.dir_nodes_for config ~key in
+      let nodes = Cluster.nodes c in
+      List.for_all
+        (fun i ->
+          let fresh () = OwnC.create ~config:config.Config.ownership ~self:i ~nodes () in
+          let by_list = fresh () and by_emit = fresh () in
+          let stack = Effect_stack.create ~filler:OwnC.Flush in
+          List.for_all
+            (fun (input, _) ->
+              snd (OwnC.handle ~dir by_list input)
+              = emitted stack (OwnC.handle_with ~dir by_emit) input)
+            own_logs.(i)
+          && OwnC.fingerprint by_list = OwnC.fingerprint by_emit
+          && commit_log_delivers_alike i com_logs.(i))
+        (List.init nodes Fun.id))
+
+(* An executor whose continuation feeds the same core synchronously, run
+   the agents' way (effect stack) and the pre-stack way (list, then
+   iterate): the executed sequences must match, with the nested input's
+   effects spliced in place of the continuation. *)
+let executed_by_stack ~filler ~handle_with ~on_eff inputs =
+  let stack = Effect_stack.create ~filler in
+  let out = ref [] in
+  let feed input =
+    let base = Effect_stack.top stack in
+    handle_with ~emit:(Effect_stack.emit stack) input;
+    Effect_stack.run stack ~from:base
+  in
+  Effect_stack.set_exec stack (fun e ->
+      out := e :: !out;
+      on_eff feed e);
+  List.iter feed inputs;
+  Alcotest.(check int) "stack empty after the last feed" 0 (Effect_stack.top stack);
+  List.rev !out
+
+let executed_by_list ~handle ~on_eff inputs =
+  let out = ref [] in
+  let rec feed input =
+    List.iter
+      (fun e ->
+        out := e :: !out;
+        on_eff feed e)
+      (handle input)
+  in
+  List.iter feed inputs;
+  List.rev !out
+
+let rec drop_until p = function [] -> [] | x :: tl -> if p x then tl else drop_until p tl
+
+let nested_durable_commit () =
+  let upd = { Txn.key = 0; version = 1; data = Value.empty; freed = false } in
+  let commit =
+    ComC.Api_commit
+      { thread = 0; updates = [ upd ]; replica_sets = [ [ 0; 1; 2 ] ]; has_durable = true; env }
+  in
+  let ack src =
+    ComC.Deliver
+      {
+        src;
+        payload = CMsg.R_ack { tx = { pipe = { node = 0; thread = 0 }; slot = 0 }; sender = src };
+        env;
+      }
+  in
+  (* Slot 0's durability continuation commits slot 1 from inside the
+     R-ACK that completes slot 0, whose R-VALs follow the [Durable]. *)
+  let on_eff feed = function
+    | ComC.Durable { tx } when tx.CMsg.slot = 0 -> feed commit
+    | _ -> ()
+  in
+  let inputs = [ commit; ack 1; ack 2 ] in
+  let core () = ComC.create ~self:0 ~nodes:nnodes () in
+  let by_list =
+    let st = core () in
+    executed_by_list ~handle:(fun i -> snd (ComC.handle st i)) ~on_eff inputs
+  in
+  let by_stack =
+    let st = core () in
+    executed_by_stack ~filler:ComC.Flush ~handle_with:(ComC.handle_with st) ~on_eff inputs
+  in
+  Alcotest.(check bool) "stack order = list-then-iterate order" true (by_stack = by_list);
+  let after_durable = drop_until (function ComC.Durable _ -> true | _ -> false) by_stack in
+  match after_durable with
+  | [
+   ComC.Telemetry (ComC.Count ComC.C_started);
+   ComC.Send { payload = CMsg.R_inv { tx = { slot = 1; _ }; _ }; _ };
+   ComC.Send { payload = CMsg.R_inv { tx = { slot = 1; _ }; _ }; _ };
+   ComC.Send { payload = CMsg.R_val { tx = { slot = 0; _ }; _ }; _ };
+   ComC.Send { payload = CMsg.R_val { tx = { slot = 0; _ }; _ }; _ };
+  ] ->
+    ()
+  | l ->
+    Alcotest.failf "nested commit not spliced after Durable (%d effects follow it)"
+      (List.length l)
+
+let nested_unblock_request () =
+  let oenv =
+    { OwnC.now = 0.0; epoch = 0; live = Array.make nnodes true; self_alive = true;
+      trace_on = false }
+  in
+  let dir _ = [ 1 ] in
+  let request =
+    OwnC.Api_request
+      {
+        key = 5;
+        kind = OMsg.Acquire;
+        facts = { OwnC.no_facts with OwnC.f_exists = true };
+        env = oenv;
+      }
+  in
+  let core () = OwnC.create ~self:0 ~nodes:nnodes () in
+  (* The request's timeout timer, as a scratch core arms it. *)
+  let timeout =
+    List.find_map
+      (function
+        | OwnC.Set_timer { token; kind; _ } ->
+          Some (OwnC.Timer_fire { token; kind; facts = OwnC.no_facts; env = oenv })
+        | _ -> None)
+      (snd (OwnC.handle ~dir (core ()) request))
+    |> Option.get
+  in
+  (* The timed-out caller retries at once, from inside its [Unblock]; the
+     timeout's cleanup timer follows the [Unblock] in the same input. *)
+  let retried = ref false in
+  let on_eff feed = function
+    | OwnC.Unblock _ when not !retried ->
+      retried := true;
+      feed request
+    | _ -> ()
+  in
+  let inputs = [ request; timeout ] in
+  let by_list =
+    let st = core () in
+    retried := false;
+    executed_by_list ~handle:(fun i -> snd (OwnC.handle ~dir st i)) ~on_eff inputs
+  in
+  let by_stack =
+    let st = core () in
+    retried := false;
+    executed_by_stack ~filler:OwnC.Flush ~handle_with:(OwnC.handle_with ~dir st) ~on_eff
+      inputs
+  in
+  Alcotest.(check bool) "stack order = list-then-iterate order" true (by_stack = by_list);
+  let after_unblock = drop_until (function OwnC.Unblock _ -> true | _ -> false) by_stack in
+  match (after_unblock, List.rev after_unblock) with
+  | ( OwnC.Telemetry (OwnC.Count OwnC.C_started) :: _,
+      OwnC.Set_timer { kind = OwnC.T_cleanup _; _ } :: _ ) ->
+    Alcotest.(check int) "the retry's effects sit between Unblock and the cleanup timer"
+      (List.length (snd (OwnC.handle ~dir (core ()) request)) + 1)
+      (List.length after_unblock)
+  | _ -> Alcotest.fail "nested request not spliced after Unblock"
+
 let suite =
   [
     tc "commit cores replay from live-agent tap" commit_agent_replay;
     tc "ownership cores replay from live-agent tap" ownership_agent_replay;
     qtest commit_schedule_replays;
+    qtest commit_emit_matches_list;
+    qtest ownership_emit_matches_list;
+    tc "effect stack: nested commit from Durable keeps list order" nested_durable_commit;
+    tc "effect stack: nested request from Unblock keeps list order" nested_unblock_request;
   ]
